@@ -187,23 +187,6 @@ func BenchmarkOptSearchDijkstraE7Size(b *testing.B) {
 	benchOptSearch(b, optSearchE7SizeInstance(), opt.Options{Bound: opt.BoundNone, NoHeuristic: true})
 }
 
-// BenchmarkOptSearchLandmarkE7Size isolates the landmark layer's cost on the
-// E7-sized search: matching bound plus the precomputed landmark table, with
-// dominance merging off.  Compare with AStarE7Size (the full engine) for what
-// dominance saves and with DijkstraE7Size for what the bounds save.
-func BenchmarkOptSearchLandmarkE7Size(b *testing.B) {
-	benchOptSearch(b, optSearchE7SizeInstance(), opt.Options{NoDominance: true})
-}
-
-// BenchmarkOptSearchParallelE7Size runs the full engine through the sharded
-// parallel driver.  On the single-CPU CI runners this mostly measures the
-// driver's overhead (shard locks, per-worker arenas and queues) over the
-// sequential path; scripts/allocguard.sh bounds its allocs/op so the
-// driver's fixed per-search footprint cannot regress to per-node allocation.
-func BenchmarkOptSearchParallelE7Size(b *testing.B) {
-	benchOptSearch(b, optSearchE7SizeInstance(), opt.Options{Workers: 4})
-}
-
 func BenchmarkLPRelaxation(b *testing.B) {
 	seq := workload.Uniform(18, 8, 3)
 	in := workload.Instance(seq, 4, 3, 2, workload.AssignStripe, 0)

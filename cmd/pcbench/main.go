@@ -12,8 +12,6 @@
 //	pcbench -json           # emit JSON (for BENCH_*.json trajectory tracking)
 //	pcbench -json -stable   # omit wall times, for byte-reproducible JSON
 //	pcbench -workers 1      # force sequential execution
-//	pcbench -opt-workers 4  # run the exact searches on 4 goroutines (stall
-//	                        # values are invariant; effort counters move)
 //	pcbench -solver flat    # solve the LPs with the flat-tableau simplex
 //	pcbench -pricing steepest-edge  # override the pinned entering-column rule
 //	pcbench -basis lu       # override the pinned basis representation
@@ -56,6 +54,7 @@ import (
 	"pfcache/internal/experiments"
 	"pfcache/internal/lp"
 	"pfcache/internal/service"
+	"pfcache/internal/stats"
 )
 
 // main only converts run's exit code: all the work happens in run, whose
@@ -69,7 +68,6 @@ func run() int {
 	jsonOut := flag.Bool("json", false, "emit results as JSON (includes per-experiment wall time plus LP solver and exact-search counters)")
 	stable := flag.Bool("stable", false, "omit wall times from -json output so repeated runs are byte-identical")
 	workers := flag.Int("workers", 0, "worker pool size (0 = one per CPU, 1 = sequential)")
-	optWorkers := flag.Int("opt-workers", 1, "exact-search worker count (1 = sequential; >1 is for wall-clock comparisons — stall values are invariant but effort counters move, so combine with care under -stable)")
 	solver := flag.String("solver", "revised", "LP simplex implementation: revised or flat")
 	pricing := flag.String("pricing", "", "revised-simplex pricing rule: steepest-edge or dantzig (default: the suite's pinned dantzig)")
 	basis := flag.String("basis", "", "revised-simplex basis representation: lu or eta (default: the suite's pinned eta)")
@@ -124,7 +122,6 @@ func run() int {
 		}
 	}
 	experiments.SetBatch(*batch)
-	experiments.SetOptWorkers(*optWorkers)
 	var ids []string
 	if *runFlag != "" {
 		ids = strings.Split(*runFlag, ",")
@@ -260,15 +257,27 @@ func runReplay(solver, pricing, basis string) int {
 var timingLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op`)
 
 // parseTimings reads a `go test -bench` output file and returns the ns/op of
-// every benchmark line in it, for the JSON timings block.  Non-benchmark
-// lines (experiment tables, PASS/ok trailers) are ignored.
+// every benchmark in it, for the JSON timings block.  A benchmark repeated by
+// `-count N` contributes the median of its N lines.  Non-benchmark lines
+// (experiment tables, PASS/ok trailers) are ignored.
 func parseTimings(path string) (map[string]float64, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[string]float64)
-	for _, line := range strings.Split(string(data), "\n") {
+	out := medianTimings(string(data))
+	if len(out) == 0 {
+		return nil, fmt.Errorf("pcbench: no benchmark lines found in %s", path)
+	}
+	return out, nil
+}
+
+// medianTimings collects the ns/op samples of every benchmark line in a
+// `go test -bench` output and reduces each benchmark's samples to their
+// median.
+func medianTimings(text string) map[string]float64 {
+	samples := make(map[string][]float64)
+	for _, line := range strings.Split(text, "\n") {
 		m := timingLine.FindStringSubmatch(line)
 		if m == nil {
 			continue
@@ -277,12 +286,13 @@ func parseTimings(path string) (map[string]float64, error) {
 		if err != nil {
 			continue
 		}
-		out[m[1]] = ns
+		samples[m[1]] = append(samples[m[1]], ns)
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("pcbench: no benchmark lines found in %s", path)
+	out := make(map[string]float64, len(samples))
+	for name, ns := range samples {
+		out[name] = stats.Summarize(ns).Median
 	}
-	return out, nil
+	return out
 }
 
 // runText prints aligned text tables (or CSV) straight from the experiment

@@ -4,7 +4,6 @@ import (
 	"sync/atomic"
 
 	"pfcache/internal/lp"
-	"pfcache/internal/opt"
 )
 
 // The experiments pin the simplex engines their LPs are solved with.  The
@@ -66,29 +65,4 @@ func SolverBasis() lp.BasisMethod {
 // lpOptions are the solver options every experiment passes to LP solves.
 func lpOptions() lp.Options {
 	return lp.Options{Method: SolverMethod(), Pricing: SolverPricing(), Basis: SolverBasis()}
-}
-
-// optWorkers holds the worker count the exact searches run with; 0 means the
-// suite default of 1 (sequential), which keeps the recorded expansion
-// counters byte-reproducible.  pcbench's -opt-workers flag raises it for
-// wall-clock comparisons: stall values are worker-count invariant, only the
-// effort counters move.
-var optWorkers atomic.Int64
-
-// SetOptWorkers selects the exact-search worker count used by experiments.
-func SetOptWorkers(w int) { optWorkers.Store(int64(w)) }
-
-// OptWorkers returns the effective exact-search worker count.
-func OptWorkers() int {
-	if v := optWorkers.Load(); v > 1 {
-		return int(v)
-	}
-	return 1
-}
-
-// optOptions applies the suite-level exact-search settings to an experiment's
-// option block.
-func optOptions(o opt.Options) opt.Options {
-	o.Workers = OptWorkers()
-	return o
 }

@@ -68,7 +68,7 @@ func E1IntroExample() (*report.Table, error) {
 		}
 		t.AddRow(a.Name, res.Stall, res.Elapsed)
 	}
-	optRes, err := opt.Optimal(in, optOptions(opt.Options{}))
+	optRes, err := opt.Optimal(in, opt.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -106,7 +106,7 @@ func E3AggressiveRatio() (*report.Table, error) {
 		var ratios []float64
 		for seed := int64(0); seed < 3; seed++ {
 			in := core.SingleDisk(w.gen(seed), c.k, c.f)
-			optRes, err := opt.Optimal(in, optOptions(opt.Options{}))
+			optRes, err := opt.Optimal(in, opt.Options{})
 			if err != nil {
 				return err
 			}
@@ -227,7 +227,7 @@ func E5DelaySweep() (*report.Table, error) {
 		g := set.gens[j/instSeeds]
 		seed := int64(j % instSeeds)
 		in := core.SingleDisk(g(seed), k, f)
-		o, err := opt.Optimal(in, optOptions(opt.Options{}))
+		o, err := opt.Optimal(in, opt.Options{})
 		if err != nil {
 			return err
 		}
@@ -297,7 +297,7 @@ func E6Combination() (*report.Table, error) {
 		c := configs[i/seeds]
 		seed := int64(i % seeds)
 		in := core.SingleDisk(c.gen(seed), c.k, c.f)
-		optRes, err := opt.Optimal(in, optOptions(opt.Options{}))
+		optRes, err := opt.Optimal(in, opt.Options{})
 		if err != nil {
 			return err
 		}

@@ -44,16 +44,13 @@ type Counters struct {
 	// DualPivots is the total number of dual simplex pivots performed by
 	// warm re-solves (Options.Dual).
 	DualPivots uint64
-	// FTUpdates is the total number of Forrest–Tomlin row-spike updates
-	// absorbed into U factors (Options.Update == UpdateFT).
-	FTUpdates uint64
 }
 
 var stats struct {
 	solves, iters, passes, refactors, etas, luFills, warmStarts atomic.Uint64
 	symReuses, numRefactors                                     atomic.Uint64
 	verified, verifyFails, cascadeFalls                         atomic.Uint64
-	dualPivots, ftUpdates                                       atomic.Uint64
+	dualPivots                                                  atomic.Uint64
 }
 
 // recordSolve folds one finished solve into the package counters; callers
@@ -68,7 +65,6 @@ func recordSolve(sol *Solution) {
 	stats.symReuses.Add(uint64(sol.SymbolicReuses))
 	stats.numRefactors.Add(uint64(sol.NumericRefactors))
 	stats.dualPivots.Add(uint64(sol.DualIterations))
-	stats.ftUpdates.Add(uint64(sol.FTUpdates))
 	if sol.WarmStarted {
 		stats.warmStarts.Add(1)
 	}
@@ -90,7 +86,6 @@ func StatsSnapshot() Counters {
 		VerifyFailures:   stats.verifyFails.Load(),
 		CascadeFallbacks: stats.cascadeFalls.Load(),
 		DualPivots:       stats.dualPivots.Load(),
-		FTUpdates:        stats.ftUpdates.Load(),
 	}
 }
 
@@ -109,5 +104,4 @@ func StatsReset() {
 	stats.verifyFails.Store(0)
 	stats.cascadeFalls.Store(0)
 	stats.dualPivots.Store(0)
-	stats.ftUpdates.Store(0)
 }

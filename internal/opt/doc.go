@@ -1,6 +1,6 @@
 // Package opt computes exactly optimal prefetching/caching schedules for
 // small instances by informed search (A* with branch-and-bound pruning) over
-// system states, optionally sharded across goroutines.
+// system states.
 //
 // The paper compares its algorithms against an information-theoretic optimum
 // OPT: the minimum stall time (equivalently elapsed time) over all feasible
@@ -27,11 +27,9 @@
 // flat arena addressed by int32 indices, reached states are looked up in an
 // open-addressing hash table, and the frontier is a monotone bucket queue
 // over f = g + h (stall costs are small non-negative integers), so the search
-// performs no per-node heap allocations.  Options can disable every
-// refinement (NoHeuristic, NoLandmarks, NoDominance, BoundNone); NoHeuristic
-// plus BoundNone yields exactly the historical uniform-cost Dijkstra search
-// (dominance auto-disables there), and the property tests pin the informed
-// engine to the blind one on random instances.
+// performs no per-node heap allocations.  NoHeuristic plus BoundNone yields
+// exactly the historical uniform-cost Dijkstra search, and the property tests
+// pin the informed engine to the blind one on random instances.
 //
 // # The bound hierarchy and its admissibility
 //
@@ -40,7 +38,7 @@
 // already spent and g(s) the stall already paid, so t(s) = (n - r) + g(s).
 // Any completion of s serves r more requests, so its remaining elapsed time E
 // satisfies remaining stall = E - r, and any lower bound T on E gives the
-// admissible h = max(0, T - r).  Three bound families are combined by max;
+// admissible h = max(0, T - r).  Two bound families are combined by max;
 // each lower-bounds E for every feasible completion.
 //
 // Per-disk slot/reference matching.  Let disk d carry an in-flight fetch with
@@ -76,20 +74,6 @@
 // bound remains admissible; it strictly wins when both disks are loaded and
 // their references interleave.
 //
-// Landmark lower bounds.  Both bounds above are per-state; the landmark table
-// (landmark.go) is precomputed once per search from counting relaxations of
-// the instance suffix.  For a window of positions [p, t], any execution that
-// has served fewer than p requests must, before serving request t, complete
-// enough fetches to cover the window's demand regardless of cache content on
-// entry; a waterfill over the best possible cache allocation gives a
-// stall lower bound win(p, t) that holds for every state entering the window.
-// Because a bound that holds for any entering state also holds after any
-// earlier window has been traversed, the stall bounds of disjoint windows
-// add, and the table lm[p] = max(lm[p+1], max_t win(p, t) + lm[t+1]) is a
-// valid lower bound on the stall still to be paid from any state whose cursor
-// is at p.  h takes the max of lm[cursor] with the per-state bounds; the
-// LandmarkHits counter records evaluations where the landmark strictly won.
-//
 // h is admissible but not consistent (a delivery can drop a bound by more
 // than the transition's cost), so closed nodes are reopened when reached with
 // a smaller g; A* with reopening pops the goal with an optimal g.  At a goal
@@ -107,57 +91,6 @@
 // optimality is thereby proved.  Seeds run on the nominal cache size k, so
 // their stall also upper-bounds searches granted ExtraCache locations (extra
 // cache never increases the optimum).
-//
-// # Dominance merging
-//
-// Two states can differ syntactically yet admit exactly the same completions
-// at the same costs.  canonicalize (opt.go) maps a state to its
-// dominance-class representative: resident blocks that are never referenced
-// again are dropped from the cache mask, and an in-flight block that is never
-// referenced again is renamed to the deadBlock sentinel (its remaining time
-// is kept — it still occupies the disk).  The canonical form is a
-// bisimulation quotient: a dead resident block never satisfies a future
-// request, and evicting it is always at least as good as evicting a live
-// block (any schedule that evicts a live block while a dead one is resident
-// can be repaired, move for move, to evict the dead one first — the repaired
-// schedule serves every request no later); a dead in-flight block's identity
-// is irrelevant once its delivery can never serve a request, only its
-// remaining occupancy matters.  Hence two states with equal canonical keys
-// have identical optimal remaining costs, and the node table keys on the
-// canonical form.  A hit with equal raw key counts as DuplicateHits (the
-// historical path); a hit whose raw keys differ counts as PrunedByDominance.
-// The free-slot direction is covered by the same repair: a state with a dead
-// block occupying a cache slot is bisimilar to the state with the slot free,
-// because the dead occupant can be evicted by the next fetch at no cost.
-//
-// # Parallel driver
-//
-// Options.Workers > 1 runs the same search sharded across goroutines
-// (parallel.go): each worker owns an arena and a bucket queue, idle workers
-// steal half a victim's frontier, the closed table is sharded under mutexes,
-// and the incumbent is a shared atomic updated by CAS-min.  The invariants:
-//
-//   - Safety: a node is published to its table shard before any worker can
-//     reach it, records are immutable once published, and the bound used for
-//     pruning only ever decreases (CAS-min), so no worker prunes with a
-//     stale-low incumbent.
-//   - Termination: a pending-work counter is incremented before a push and
-//     decremented after an expansion; it reaches zero exactly when every
-//     queue is empty and no expansion is in flight.
-//   - Optimality at the goal: workers do not stop at the first goal pop.  A
-//     goal found with cost c only CAS-mins the incumbent; the search ends
-//     when the pending counter drains, at which point every node with
-//     g + h < incumbent has been expanded (none remains queued), so no
-//     completion cheaper than the incumbent exists, and the recorded parent
-//     chain of the incumbent goal — whose records are immutable — replays a
-//     consistent optimal schedule.
-//
-// Stall and elapsed results are therefore worker-count invariant; expansion
-// counters are not (workers race on duplicate discovery), which is why the
-// experiment suite pins Workers = 1 for its byte-reproducible tables and the
-// parallel driver is surfaced through pcopt -workers / pcbench -opt-workers
-// for wall-clock work.  Workers = 1 routes through the sequential engine, so
-// it is bit-identical to the default path by construction.
 //
 // # Branching modes
 //

@@ -23,8 +23,46 @@ func dijkstraOptions(base Options) Options {
 // random single- and multi-disk instances — including extra cache locations
 // and full branching — the informed A*/branch-and-bound search must report
 // exactly the stall and elapsed time of the unpruned Dijkstra reference, and
-// both schedules must execute to the reported stall.
+// both schedules must execute to the reported stall.  Besides the uniform
+// random sequences it runs larger instances of the structured families
+// (phased, Zipf, sequential scan, loop): dead cache content and window-dense
+// demand are where search refinements act, and so where they are most likely
+// to go wrong.
 func TestAStarMatchesDijkstraProperty(t *testing.T) {
+	check := func(trial int, family string, seq core.Sequence, k, f, disks, extra int, full bool) {
+		t.Helper()
+		in := workload.Instance(seq, k, f, disks, workload.AssignStripe, 0)
+		opts := Options{ExtraCache: extra, Full: full}
+		astar, err := Optimal(in, opts)
+		if err != nil {
+			t.Fatalf("%s trial %d astar: %v", family, trial, err)
+		}
+		dijk, err := Optimal(in, dijkstraOptions(opts))
+		if err != nil {
+			t.Fatalf("%s trial %d dijkstra: %v", family, trial, err)
+		}
+		if astar.Stall != dijk.Stall || astar.Elapsed != dijk.Elapsed {
+			t.Fatalf("%s trial %d: astar stall/elapsed %d/%d != dijkstra %d/%d (seq=%v k=%d F=%d D=%d extra=%d full=%v)",
+				family, trial, astar.Stall, astar.Elapsed, dijk.Stall, dijk.Elapsed, seq, k, f, disks, extra, full)
+		}
+		if astar.StatesExpanded > dijk.StatesExpanded {
+			t.Fatalf("%s trial %d: astar expanded %d states, more than dijkstra's %d (seq=%v k=%d F=%d D=%d)",
+				family, trial, astar.StatesExpanded, dijk.StatesExpanded, seq, k, f, disks)
+		}
+		for name, res := range map[string]*Result{"astar": astar, "dijkstra": dijk} {
+			simRes, err := sim.Run(in, res.Schedule, sim.Options{})
+			if err != nil {
+				t.Fatalf("%s trial %d: %s schedule infeasible: %v\n%v", family, trial, name, err, res.Schedule)
+			}
+			if simRes.Stall != res.Stall {
+				t.Fatalf("%s trial %d: %s schedule executes to stall %d, reported %d", family, trial, name, simRes.Stall, res.Stall)
+			}
+			if simRes.ExtraCache > extra {
+				t.Fatalf("%s trial %d: %s schedule used %d extra locations, budget %d", family, trial, name, simRes.ExtraCache, extra)
+			}
+		}
+	}
+
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 80; trial++ {
 		n := 6 + rng.Intn(12)
@@ -34,37 +72,36 @@ func TestAStarMatchesDijkstraProperty(t *testing.T) {
 		disks := 1 + rng.Intn(3)
 		extra := rng.Intn(2)
 		full := trial%5 == 0 && n <= 9 // full branching only on tiny instances
-		seq := workload.Uniform(n, blocks, int64(4000+trial))
-		in := workload.Instance(seq, k, f, disks, workload.AssignStripe, 0)
-		opts := Options{ExtraCache: extra, Full: full}
-		astar, err := Optimal(in, opts)
-		if err != nil {
-			t.Fatalf("trial %d astar: %v", trial, err)
+		check(trial, "uniform", workload.Uniform(n, blocks, int64(4000+trial)), k, f, disks, extra, full)
+	}
+
+	rng = rand.New(rand.NewSource(199))
+	for trial := 0; trial < 80; trial++ {
+		n := 16 + rng.Intn(20)
+		blocks := 5 + rng.Intn(8)
+		k := 2 + rng.Intn(3)
+		f := 2 + rng.Intn(4)
+		disks := 1 + rng.Intn(3)
+		extra := rng.Intn(2)
+		seed := int64(5000 + trial)
+		var family string
+		var seq core.Sequence
+		switch trial % 4 {
+		case 0:
+			family = "phased"
+			ws := 3 + rng.Intn(3)
+			seq = workload.Phased(2+rng.Intn(2), n/3+1, ws, rng.Intn(2), seed)
+		case 1:
+			family = "zipf"
+			seq = workload.Zipf(n, blocks, 1.1, seed)
+		case 2:
+			family = "scan"
+			seq = workload.SequentialScan(n, blocks)
+		default:
+			family = "loop"
+			seq = workload.Loop(blocks, n/blocks+1)
 		}
-		dijk, err := Optimal(in, dijkstraOptions(opts))
-		if err != nil {
-			t.Fatalf("trial %d dijkstra: %v", trial, err)
-		}
-		if astar.Stall != dijk.Stall || astar.Elapsed != dijk.Elapsed {
-			t.Fatalf("trial %d: astar stall/elapsed %d/%d != dijkstra %d/%d (seq=%v k=%d F=%d D=%d extra=%d full=%v)",
-				trial, astar.Stall, astar.Elapsed, dijk.Stall, dijk.Elapsed, seq, k, f, disks, extra, full)
-		}
-		if astar.StatesExpanded > dijk.StatesExpanded {
-			t.Fatalf("trial %d: astar expanded %d states, more than dijkstra's %d (seq=%v k=%d F=%d D=%d)",
-				trial, astar.StatesExpanded, dijk.StatesExpanded, seq, k, f, disks)
-		}
-		for name, res := range map[string]*Result{"astar": astar, "dijkstra": dijk} {
-			simRes, err := sim.Run(in, res.Schedule, sim.Options{})
-			if err != nil {
-				t.Fatalf("trial %d: %s schedule infeasible: %v\n%v", trial, name, err, res.Schedule)
-			}
-			if simRes.Stall != res.Stall {
-				t.Fatalf("trial %d: %s schedule executes to stall %d, reported %d", trial, name, simRes.Stall, res.Stall)
-			}
-			if simRes.ExtraCache > extra {
-				t.Fatalf("trial %d: %s schedule used %d extra locations, budget %d", trial, name, simRes.ExtraCache, extra)
-			}
-		}
+		check(trial, family, seq, k, f, disks, extra, false)
 	}
 }
 
@@ -292,7 +329,7 @@ func TestHeuristicAdmissibleAtRoot(t *testing.T) {
 		in := workload.Instance(seq, k, f, disks, workload.AssignStripe, 0)
 		s := newSearcher(in, Options{}, in.Blocks())
 		start := s.initialKey()
-		h0 := int(s.heuristic(&start, s.hs))
+		h0 := int(s.heuristic(&start))
 		res, err := Optimal(in, Options{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)

@@ -1,7 +1,7 @@
 package opt
 
 // The A* heuristic: an admissible per-state lower bound h on the remaining
-// stall time.  Three families of bounds are combined by max (each is a valid
+// stall time.  Two families of bounds are combined by max (each is a valid
 // lower bound on the remaining elapsed time E, and h = max(0, T - r) where r
 // is the number of unserved requests; see doc.go for the admissibility
 // arguments):
@@ -13,39 +13,17 @@ package opt
 //     latest "fetch completes, then the tail of requests is served" chain;
 //   - the disk-pair merged-slot bound: the same matching over the merged
 //     completion slots of a disk pair against the pair's merged references,
-//     which relaxes block-to-disk binding but exposes joint saturation;
-//   - the landmark bound (landmark.go): a state-independent window-density
-//     bound precomputed once up front from per-disk counting relaxations.
+//     which relaxes block-to-disk binding but exposes joint saturation.
 //
 // The old PR-3 bound (rem + m*F + (n - maxRef) per disk) is exactly the last
 // term (j = m) of the per-disk matching bound, so the new bound dominates it.
-
-// hscratch holds the per-evaluation scratch of the heuristic: the per-disk
-// ascending reference lists and the evaluation-local counters.  The sequential
-// searcher owns one; the parallel driver gives each worker its own, so
-// heuristic evaluation is safe to run concurrently against the read-only
-// searcher tables.
-type hscratch struct {
-	refs [maxDisks][]int32
-	// landmarkHits counts evaluations where the landmark bound strictly
-	// exceeded the per-state fetch-work bounds.
-	landmarkHits int
-}
-
-func newHScratch(n int) *hscratch {
-	var h hscratch
-	for d := range h.refs {
-		h.refs[d] = make([]int32, 0, n)
-	}
-	return &h
-}
 
 // initHeuristic precomputes the per-position tables the bound is evaluated
 // from: futureMask[p] is the set of block indices referenced at positions
 // >= p, diskMask[d] the blocks residing on disk d, and nextRef a dense
 // (n+1) x numBlocks table of first-reference-at-or-after positions (sentinel
-// n when a block is never referenced again).  With landmarks enabled it also
-// builds the window-density landmark table (landmark.go).
+// n when a block is never referenced again).  It also sizes the per-disk
+// reference lists the bound is evaluated in.
 func (s *searcher) initHeuristic() {
 	n := s.n
 	nb := len(s.blocks)
@@ -64,8 +42,8 @@ func (s *searcher) initHeuristic() {
 		copy(s.nextRef[p*nb:(p+1)*nb], s.nextRef[(p+1)*nb:(p+2)*nb])
 		s.nextRef[p*nb+int(s.seqIdx[p])] = int32(p)
 	}
-	if s.useLandmarks() {
-		s.initLandmarks()
+	for d := range s.hrefs {
+		s.hrefs[d] = make([]int32, 0, n)
 	}
 }
 
@@ -75,24 +53,9 @@ func (s *searcher) nextRefAt(bi, p int) int {
 	return int(s.nextRef[p*len(s.blocks)+bi])
 }
 
-// useLandmarks reports whether the landmark table participates in h.
-func (s *searcher) useLandmarks() bool {
-	return !s.opts.NoHeuristic && !s.opts.NoLandmarks
-}
-
-// useDominance reports whether canonicalized dominance merging is active.
-// The blind reference configuration (NoHeuristic + BoundNone) keeps it off so
-// that configuration remains exactly the historical Dijkstra engine.
-func (s *searcher) useDominance() bool {
-	if s.opts.NoDominance {
-		return false
-	}
-	return !(s.opts.NoHeuristic && s.opts.Bound == BoundNone)
-}
-
 // heuristic computes h for a state.  With NoHeuristic set it returns 0, which
 // reduces the search to uniform-cost (Dijkstra) order.
-func (s *searcher) heuristic(key *stateKey, hs *hscratch) int32 {
+func (s *searcher) heuristic(key *stateKey) int32 {
 	if s.opts.NoHeuristic {
 		return 0
 	}
@@ -111,7 +74,7 @@ func (s *searcher) heuristic(key *stateKey, hs *hscratch) int32 {
 	// missing future-referenced blocks: scanning the sequence forward visits
 	// each block's first future reference in ascending position order.
 	for d := 0; d < s.in.Disks; d++ {
-		hs.refs[d] = hs.refs[d][:0]
+		s.hrefs[d] = s.hrefs[d][:0]
 	}
 	if missing != 0 {
 		seen := ^missing // positions of non-missing blocks are skipped as "seen"
@@ -122,7 +85,7 @@ func (s *searcher) heuristic(key *stateKey, hs *hscratch) int32 {
 			}
 			seen |= 1 << uint(bi)
 			d := s.diskOf[bi]
-			hs.refs[d] = append(hs.refs[d], int32(p))
+			s.hrefs[d] = append(s.hrefs[d], int32(p))
 		}
 	}
 
@@ -138,7 +101,7 @@ func (s *searcher) heuristic(key *stateKey, hs *hscratch) int32 {
 		// Per-disk slot/reference matching: ascending slots rem + j*F against
 		// ascending refs.
 		t := 0
-		for j, ref := range hs.refs[d] {
+		for j, ref := range s.hrefs[d] {
 			if v := rem + (j+1)*f + (s.n - int(ref)); v > t {
 				t = v
 			}
@@ -159,7 +122,7 @@ func (s *searcher) heuristic(key *stateKey, hs *hscratch) int32 {
 	// work (the merged matching would only borrow the idle disk's cheaper
 	// slots and weaken below the per-disk bound).
 	for d1 := 0; d1 < s.in.Disks; d1++ {
-		if len(hs.refs[d1]) == 0 {
+		if len(s.hrefs[d1]) == 0 {
 			continue
 		}
 		rem1 := 0
@@ -167,22 +130,16 @@ func (s *searcher) heuristic(key *stateKey, hs *hscratch) int32 {
 			rem1 = flightRemaining(key.flights[d1])
 		}
 		for d2 := d1 + 1; d2 < s.in.Disks; d2++ {
-			if len(hs.refs[d2]) == 0 {
+			if len(s.hrefs[d2]) == 0 {
 				continue
 			}
 			rem2 := 0
 			if key.flights[d2] != 0 {
 				rem2 = flightRemaining(key.flights[d2])
 			}
-			if t := pairBound(hs.refs[d1], hs.refs[d2], rem1, rem2, f, s.n); t-r > best {
+			if t := pairBound(s.hrefs[d1], s.hrefs[d2], rem1, rem2, f, s.n); t-r > best {
 				best = t - r
 			}
-		}
-	}
-	if s.useLandmarks() {
-		if lm := int(s.landmark[served]); lm > best {
-			best = lm
-			hs.landmarkHits++
 		}
 	}
 	return int32(best)

@@ -73,20 +73,8 @@ type Options struct {
 	// NoHeuristic disables the admissible lower bound h, reducing A* to
 	// uniform-cost (Dijkstra) order.  Together with Bound: BoundNone this is
 	// exactly the historical blind search, kept as the reference the property
-	// tests pin the informed search against (landmarks and dominance are
-	// auto-disabled in that configuration, see useDominance).
+	// tests pin the informed search against.
 	NoHeuristic bool
-	// NoLandmarks disables the precomputed landmark lower bounds
-	// (landmark.go), leaving only the per-state fetch-work bounds.
-	NoLandmarks bool
-	// NoDominance disables canonicalized dominance merging of states that
-	// differ only in never-again-referenced cache or in-flight content.
-	NoDominance bool
-	// Workers selects the parallel branch-and-bound driver (parallel.go) when
-	// > 1.  Workers <= 1 runs the sequential A* engine; the stall/elapsed
-	// results are identical either way (the optimum is unique in value), but
-	// effort counters are nondeterministic across parallel runs.
-	Workers int
 }
 
 // Result is the outcome of an exact search.
@@ -111,22 +99,8 @@ type Result struct {
 	// DuplicateHits counts successors that already had a node in the table
 	// under the same raw state key.
 	DuplicateHits int
-	// PrunedByDominance counts successors merged into an existing node whose
-	// raw key differed but whose canonicalized key (dead cache and in-flight
-	// content removed) matched: the two states are equivalent, so only the
-	// cheaper path survives.
-	PrunedByDominance int
-	// LandmarkHits counts heuristic evaluations where the precomputed
-	// landmark bound strictly exceeded every per-state fetch-work bound.
-	LandmarkHits int
 	// PeakTableSize is the number of distinct states materialised.
 	PeakTableSize int
-	// Workers is the number of search workers used (1 for the sequential
-	// engine).
-	Workers int
-	// WorkerExpanded is the per-worker expansion breakdown of a parallel run
-	// (nil for the sequential engine); its sum equals StatesExpanded.
-	WorkerExpanded []int
 	// SeedAlgorithm names the greedy schedule seeding the incumbent ("" when
 	// no incumbent was available).
 	SeedAlgorithm string
@@ -218,14 +192,12 @@ type searcher struct {
 	cap    int     // cache capacity including extra locations
 	n      int
 
-	// Heuristic tables (see heuristic.go / landmark.go), read-only after
-	// construction so parallel workers can share them.
+	// Heuristic tables (see heuristic.go), read-only after construction, and
+	// the per-disk reference lists each evaluation fills.
 	futureMask []uint64
 	diskMask   [maxDisks]uint64
 	nextRef    []int32
-	landmark   []int32
-	hs         *hscratch
-	dominance  bool // canonicalized dominance merging active (useDominance)
+	hrefs      [maxDisks][]int32
 
 	// Branch-and-bound incumbent (see seed.go); incumbent < 0 means none.
 	incumbent int
@@ -244,15 +216,12 @@ type searcher struct {
 	generated int
 	pruned    int
 	dupHits   int
-	prunedDom int
 }
 
 // succRec is one staged successor of an expansion: the resulting state, the
 // transition's stall cost and anchor position, and its fetch actions inside
-// the staging buffer.  Staging decouples successor generation (pure, reads
-// only the shared tables) from relaxation (mutates the node table and queue),
-// which is what lets the parallel driver reuse the exact same generation
-// code with per-worker buffers.
+// the staging buffer.  Staging decouples successor generation (reads only the
+// searcher's tables) from relaxation (mutates the node table and queue).
 type succRec struct {
 	key      stateKey
 	cost     int32
@@ -305,44 +274,8 @@ func newSearcher(in *core.Instance, opts Options, blocks []core.BlockID) *search
 	for p, b := range in.Seq {
 		s.seqIdx[p] = int32(s.idxOf[b])
 	}
-	s.hs = newHScratch(s.n)
-	s.dominance = s.useDominance()
 	s.initHeuristic()
 	return s
-}
-
-// deadBlock is the sentinel block index canonicalize substitutes for a
-// never-again-referenced in-flight block.  It is outside the valid range
-// [0, maxBlocks) but still fits the flight encoding (maxFlightBlock).
-const deadBlock = maxBlocks
-
-// canonicalize maps a state key to its dominance-class representative: cache
-// blocks that are never referenced again are dropped from the resident mask,
-// and a dead in-flight block is renamed to the deadBlock sentinel (its
-// remaining fetch time is kept — the disk stays busy that long either way).
-// Two states with equal canonical keys are exactly bisimilar (doc.go), so the
-// node table keys on the canonical form while nodeRec.key keeps the raw state
-// of the best path, which reconstruction repairs against (buildSchedule).
-func (s *searcher) canonicalize(key *stateKey) stateKey {
-	c := *key
-	future := s.futureMask[key.served]
-	c.cache &= future
-	for d := 0; d < s.in.Disks; d++ {
-		if f := c.flights[d]; f != 0 {
-			if bi := flightBlock(f); future&(1<<uint(bi)) == 0 {
-				c.flights[d] = flightOf(deadBlock, flightRemaining(f))
-			}
-		}
-	}
-	return c
-}
-
-// tableKey returns the key the node table indexes a state under.
-func (s *searcher) tableKey(key *stateKey) stateKey {
-	if s.dominance {
-		return s.canonicalize(key)
-	}
-	return *key
 }
 
 func (s *searcher) maxStates() int {
@@ -367,33 +300,27 @@ func (s *searcher) result(stall int, sched *core.Schedule, seedOptimal bool) *Re
 		seedStall = s.seedStall
 	}
 	return &Result{
-		Stall:             stall,
-		Elapsed:           s.n + stall,
-		Schedule:          sched,
-		StatesExpanded:    s.expanded,
-		StatesGenerated:   s.generated,
-		PrunedByBound:     s.pruned,
-		DuplicateHits:     s.dupHits,
-		PrunedByDominance: s.prunedDom,
-		LandmarkHits:      s.hs.landmarkHits,
-		PeakTableSize:     s.table.count,
-		Workers:           1,
-		SeedAlgorithm:     s.seedName,
-		SeedStall:         seedStall,
-		SeedOptimal:       seedOptimal,
+		Stall:           stall,
+		Elapsed:         s.n + stall,
+		Schedule:        sched,
+		StatesExpanded:  s.expanded,
+		StatesGenerated: s.generated,
+		PrunedByBound:   s.pruned,
+		DuplicateHits:   s.dupHits,
+		PeakTableSize:   s.table.count,
+		SeedAlgorithm:   s.seedName,
+		SeedStall:       seedStall,
+		SeedOptimal:     seedOptimal,
 	}
 }
 
 func (s *searcher) run() (*Result, error) {
-	if s.opts.Workers > 1 {
-		return s.runParallel()
-	}
 	defer s.recordStats()
 	if s.opts.Bound == BoundGreedy {
 		s.seedIncumbent()
 	}
 	start := s.initialKey()
-	h0 := s.heuristic(&start, s.hs)
+	h0 := s.heuristic(&start)
 	s.generated++
 	if s.incumbent >= 0 && int(h0) >= s.incumbent {
 		// Even the root's lower bound reaches the incumbent: the seed is
@@ -405,8 +332,7 @@ func (s *searcher) run() (*Result, error) {
 	root := &s.nodes.recs[rootIdx]
 	root.key = start
 	root.h = h0
-	tstart := s.tableKey(&start)
-	s.table.put(&tstart, rootIdx)
+	s.table.put(&start, rootIdx)
 	s.queue.push(int(h0), rootIdx)
 	for {
 		idx, f, ok := s.queue.pop()
@@ -446,9 +372,7 @@ func (s *searcher) expand(idx int32, key *stateKey) {
 	}
 }
 
-// generate fills buf with the successors of a state.  It reads only the
-// searcher's immutable tables, so it is safe to call concurrently with
-// distinct buffers (the parallel driver does).
+// generate fills buf with the successors of a state.
 func (s *searcher) generate(key *stateKey, buf *succBuf) {
 	buf.reset()
 	var acc [maxDisks]fetchAction
@@ -627,30 +551,19 @@ func (s *searcher) saveFetches(fetches []fetchAction) (int32, uint16) {
 
 // relax performs the A* relaxation for the edge parent -> next with the given
 // stall cost, pruning against the incumbent and reopening closed nodes whose
-// cost improves (the heuristic is admissible but not consistent).  With
-// dominance active the table lookup keys on the canonicalized state, so a
-// path reaching any bisimilar state merges into one node; the node's raw key
-// and transition record always describe the best path's actual state.
+// cost improves (the heuristic is admissible but not consistent).
 func (s *searcher) relax(parent int32, next *stateKey, cost, anchor int, fetches []fetchAction) {
 	s.generated++
 	newG := s.nodes.recs[parent].g + int32(cost)
-	tkey := s.tableKey(next)
-	if idx := s.table.get(&tkey); idx != 0 {
+	if idx := s.table.get(next); idx != 0 {
+		s.dupHits++
 		rec := &s.nodes.recs[idx]
-		if s.dominance && rec.key != *next {
-			s.prunedDom++
-		} else {
-			s.dupHits++
-		}
 		if rec.g <= newG {
 			return
 		}
 		// No incumbent check here: the node passed g + h < incumbent when it
-		// was inserted, and newG is smaller still.  h is invariant across the
-		// dominance class (doc.go), so it is not recomputed on a merge.
-		rec.key = *next
+		// was inserted, and newG is smaller still.
 		rec.g = newG
-		rec.cost = uint16(cost)
 		rec.parent = parent
 		rec.anchor = int32(anchor)
 		rec.fetchOff, rec.fetchCnt = s.saveFetches(fetches)
@@ -658,7 +571,7 @@ func (s *searcher) relax(parent int32, next *stateKey, cost, anchor int, fetches
 		s.queue.push(int(newG)+int(rec.h), idx)
 		return
 	}
-	h := s.heuristic(next, s.hs)
+	h := s.heuristic(next)
 	if s.incumbent >= 0 && int(newG)+int(h) >= s.incumbent {
 		s.pruned++
 		return
@@ -669,124 +582,41 @@ func (s *searcher) relax(parent int32, next *stateKey, cost, anchor int, fetches
 	rec.key = *next
 	rec.g = newG
 	rec.h = h
-	rec.cost = uint16(cost)
 	rec.parent = parent
 	rec.anchor = int32(anchor)
 	rec.fetchOff, rec.fetchCnt = fetchOff, fetchCnt
-	s.table.put(&tkey, idx)
+	s.table.put(next, idx)
 	s.queue.push(int(newG)+int(h), idx)
 }
 
-// chainStep is one transition of a reconstructed optimal path, in forward
-// (root-to-goal) order.
-type chainStep struct {
-	serve   bool // the step served a request (otherwise it stalled)
-	cost    int  // stall units of the step (0 for a serve step)
-	anchor  int  // requests served when the fetches were initiated
-	minTime int  // wall-clock initiation time of the fetches
-	fetches []fetchAction
-}
-
 // reconstruct rebuilds an optimal schedule by walking parent links from the
-// goal node and replaying the transitions (buildSchedule).
+// goal node and emitting each transition's fetches in root-to-goal order.
+// The parent chain is self-consistent (every node's transition was generated
+// from its parent's exact state), so the recorded victims apply as is.
 func (s *searcher) reconstruct(goal int32) *core.Schedule {
 	var chain []int32
 	for idx := goal; idx != 0; idx = s.nodes.recs[idx].parent {
 		chain = append(chain, idx)
 	}
-	steps := make([]chainStep, 0, len(chain)-1)
+	sched := &core.Schedule{}
 	for i := len(chain) - 2; i >= 0; i-- {
 		rec := &s.nodes.recs[chain[i]]
 		parent := &s.nodes.recs[chain[i+1]]
-		steps = append(steps, chainStep{
-			serve: rec.key.served == parent.key.served+1,
-			cost:  int(rec.cost),
-			// The wall-clock time at which this transition's fetches were
-			// initiated is the parent's cursor position plus the stall paid
-			// so far; recording it as MinTime pins cross-disk dependencies
-			// (a fetch started right after another disk's completion must
-			// not start earlier when the schedule is replayed).
-			anchor:  int(rec.anchor),
-			minTime: int(parent.key.served) + int(parent.g),
-			fetches: s.fetches[rec.fetchOff : rec.fetchOff+int32(rec.fetchCnt)],
-		})
-	}
-	return s.buildSchedule(steps)
-}
-
-// buildSchedule replays a transition chain from the true initial state and
-// emits the schedule.  With dominance merging, a node's recorded transition
-// was generated from SOME member of its parent's dominance class, which can
-// differ from the replayed state in dead (never-again-referenced) cache and
-// in-flight content; the fetched blocks, disks, and timings are identical
-// across the class, but an eviction victim may be absent.  The repair is
-// total: a recorded dead victim that is missing here is replaced by a free
-// location or by one of this state's own dead residents (one of the two must
-// exist, because the class members' live content and in-flight slot counts
-// agree — see doc.go).  Without dominance the chain is self-consistent and
-// the replay reproduces the historical schedules byte for byte.
-func (s *searcher) buildSchedule(steps []chainStep) *core.Schedule {
-	var cache uint64
-	for _, b := range s.in.InitialCache {
-		cache |= 1 << uint(s.idxOf[b])
-	}
-	var flights [maxDisks]uint16
-	served := 0
-	sched := &core.Schedule{}
-	for _, st := range steps {
-		var inflight uint64
-		for d := 0; d < s.in.Disks; d++ {
-			if flights[d] != 0 {
-				inflight |= 1 << uint(flightBlock(flights[d]))
-			}
-		}
-		free := s.cap - bits.OnesCount64(cache) - bits.OnesCount64(inflight)
-		for _, fa := range st.fetches {
-			victim := fa.victim
-			if victim == freeLocation {
-				if free <= 0 {
-					victim = s.deadResident(cache, served)
-				}
-			} else if cache&(1<<uint(victim)) == 0 {
-				if free > 0 {
-					victim = freeLocation
-				} else {
-					victim = s.deadResident(cache, served)
-				}
-			}
-			if victim >= 0 {
-				cache &^= 1 << uint(victim)
-			} else {
-				free--
-			}
-			flights[fa.disk] = flightOf(fa.block, s.in.F)
+		// The wall-clock time at which this transition's fetches were
+		// initiated is the parent's cursor position plus the stall paid so
+		// far; recording it as MinTime pins cross-disk dependencies (a fetch
+		// started right after another disk's completion must not start
+		// earlier when the schedule is replayed).
+		minTime := int(parent.key.served) + int(parent.g)
+		for _, fa := range s.fetches[rec.fetchOff : rec.fetchOff+int32(rec.fetchCnt)] {
 			evict := core.NoBlock
-			if victim >= 0 {
-				evict = s.blocks[victim]
+			if fa.victim >= 0 {
+				evict = s.blocks[fa.victim]
 			}
-			f := core.NewFetch(fa.disk, st.anchor, s.blocks[fa.block], evict)
-			f.MinTime = st.minTime
+			f := core.NewFetch(fa.disk, int(rec.anchor), s.blocks[fa.block], evict)
+			f.MinTime = minTime
 			sched.Append(f)
-		}
-		delta := 1
-		if !st.serve {
-			delta = st.cost
-		}
-		cache, flights = tick(cache, flights, delta, s.in.Disks)
-		if st.serve {
-			served++
 		}
 	}
 	return sched
-}
-
-// deadResident returns a cached block that is never referenced at or after
-// served.  buildSchedule calls it only when the dominance-class argument
-// guarantees one exists.
-func (s *searcher) deadResident(cache uint64, served int) int {
-	dead := cache &^ s.futureMask[served]
-	if dead == 0 {
-		panic("opt: reconstruction found no dead resident to evict (internal error)")
-	}
-	return bits.TrailingZeros64(dead)
 }

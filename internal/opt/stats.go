@@ -24,47 +24,28 @@ type Counters struct {
 	// DuplicateHits counts successors that were already present in the node
 	// table under the same raw key.
 	DuplicateHits uint64
-	// PrunedByDominance counts successors merged into a bisimilar node under
-	// canonicalized dominance (different raw key, equal canonical key).
-	PrunedByDominance uint64
-	// LandmarkHits counts heuristic evaluations where the precomputed
-	// landmark bound strictly exceeded the per-state fetch-work bounds.
-	LandmarkHits uint64
 	// PeakTable is the largest node-table size seen in any single search.
 	PeakTable uint64
-	// Workers is the largest Options.Workers any search ran with.
-	Workers uint64
-	// WorkerExpanded counts expansions performed by parallel driver workers
-	// (zero when every search ran sequentially); it is a subset of Expanded.
-	WorkerExpanded uint64
 }
 
 var (
-	statSearches     atomic.Uint64
-	statExpanded     atomic.Uint64
-	statGenerated    atomic.Uint64
-	statPruned       atomic.Uint64
-	statDup          atomic.Uint64
-	statDom          atomic.Uint64
-	statLandmark     atomic.Uint64
-	statPeak         atomic.Uint64
-	statWorkers      atomic.Uint64
-	statWorkerExpand atomic.Uint64
+	statSearches  atomic.Uint64
+	statExpanded  atomic.Uint64
+	statGenerated atomic.Uint64
+	statPruned    atomic.Uint64
+	statDup       atomic.Uint64
+	statPeak      atomic.Uint64
 )
 
 // StatsSnapshot returns the current process-wide counters.
 func StatsSnapshot() Counters {
 	return Counters{
-		Searches:          statSearches.Load(),
-		Expanded:          statExpanded.Load(),
-		Generated:         statGenerated.Load(),
-		PrunedByBound:     statPruned.Load(),
-		DuplicateHits:     statDup.Load(),
-		PrunedByDominance: statDom.Load(),
-		LandmarkHits:      statLandmark.Load(),
-		PeakTable:         statPeak.Load(),
-		Workers:           statWorkers.Load(),
-		WorkerExpanded:    statWorkerExpand.Load(),
+		Searches:      statSearches.Load(),
+		Expanded:      statExpanded.Load(),
+		Generated:     statGenerated.Load(),
+		PrunedByBound: statPruned.Load(),
+		DuplicateHits: statDup.Load(),
+		PeakTable:     statPeak.Load(),
 	}
 }
 
@@ -75,11 +56,7 @@ func StatsReset() {
 	statGenerated.Store(0)
 	statPruned.Store(0)
 	statDup.Store(0)
-	statDom.Store(0)
-	statLandmark.Store(0)
 	statPeak.Store(0)
-	statWorkers.Store(0)
-	statWorkerExpand.Store(0)
 }
 
 // casMax raises c to v if v is larger (a running maximum).
@@ -92,16 +69,12 @@ func casMax(c *atomic.Uint64, v uint64) {
 	}
 }
 
-// recordStats folds one sequential search's counters into the process-wide
-// totals (the parallel driver records through recordParallelStats).
+// recordStats folds one search's counters into the process-wide totals.
 func (s *searcher) recordStats() {
 	statSearches.Add(1)
 	statExpanded.Add(uint64(s.expanded))
 	statGenerated.Add(uint64(s.generated))
 	statPruned.Add(uint64(s.pruned))
 	statDup.Add(uint64(s.dupHits))
-	statDom.Add(uint64(s.prunedDom))
-	statLandmark.Add(uint64(s.hs.landmarkHits))
-	casMax(&statWorkers, 1)
 	casMax(&statPeak, uint64(s.table.count))
 }

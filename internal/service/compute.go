@@ -41,16 +41,14 @@ func ComputeSchedule(ctx context.Context, in *core.Instance, strategy string, in
 		}
 		sched = res.Schedule
 		resp.Opt = &OptInfo{
-			Expanded:          res.StatesExpanded,
-			Generated:         res.StatesGenerated,
-			PrunedByBound:     res.PrunedByBound,
-			DuplicateHits:     res.DuplicateHits,
-			PrunedByDominance: res.PrunedByDominance,
-			LandmarkHits:      res.LandmarkHits,
-			PeakTable:         res.PeakTableSize,
-			SeedAlgorithm:     res.SeedAlgorithm,
-			SeedStall:         res.SeedStall,
-			SeedOptimal:       res.SeedOptimal,
+			Expanded:      res.StatesExpanded,
+			Generated:     res.StatesGenerated,
+			PrunedByBound: res.PrunedByBound,
+			DuplicateHits: res.DuplicateHits,
+			PeakTable:     res.PeakTableSize,
+			SeedAlgorithm: res.SeedAlgorithm,
+			SeedStall:     res.SeedStall,
+			SeedOptimal:   res.SeedOptimal,
 		}
 	case "lp-optimal":
 		var m *lpmodel.Model

@@ -130,21 +130,17 @@ func lpCountersDiff(after, before lp.Counters) lp.Counters {
 }
 
 // optCountersDiff returns the counter growth between two snapshots.
-// PeakTable and Workers are running maxima, not sums, so their differences
-// would be meaningless: the after-values are reported as is (for a fresh
-// process — the CLI, the trajectory files — they equal the sweep's own peaks).
+// PeakTable is a running maximum, not a sum, so its difference would be
+// meaningless: the after-value is reported as is (for a fresh process — the
+// CLI, the trajectory files — it equals the sweep's own peak).
 func optCountersDiff(after, before opt.Counters) opt.Counters {
 	return opt.Counters{
-		Searches:          after.Searches - before.Searches,
-		Expanded:          after.Expanded - before.Expanded,
-		Generated:         after.Generated - before.Generated,
-		PrunedByBound:     after.PrunedByBound - before.PrunedByBound,
-		DuplicateHits:     after.DuplicateHits - before.DuplicateHits,
-		PrunedByDominance: after.PrunedByDominance - before.PrunedByDominance,
-		LandmarkHits:      after.LandmarkHits - before.LandmarkHits,
-		PeakTable:         after.PeakTable,
-		Workers:           after.Workers,
-		WorkerExpanded:    after.WorkerExpanded - before.WorkerExpanded,
+		Searches:      after.Searches - before.Searches,
+		Expanded:      after.Expanded - before.Expanded,
+		Generated:     after.Generated - before.Generated,
+		PrunedByBound: after.PrunedByBound - before.PrunedByBound,
+		DuplicateHits: after.DuplicateHits - before.DuplicateHits,
+		PeakTable:     after.PeakTable,
 	}
 }
 

@@ -97,6 +97,9 @@ type LPInfo struct {
 }
 
 // OptInfo reports the exact-search work behind an opt schedule.
+// PrunedByDominance and LandmarkHits always read 0: the engine layers they
+// counted (dominance merging, the landmark table) were removed because they
+// did not pay, and the keys stay for wire compatibility.
 type OptInfo struct {
 	Expanded          int    `json:"expanded"`
 	Generated         int    `json:"generated"`
@@ -213,7 +216,8 @@ func (t *TableWire) Table() *report.Table {
 }
 
 // LPCountersWire mirrors lp.Counters with the stable JSON names of the
-// trajectory format.
+// trajectory format.  FTUpdates always reads 0: the Forrest–Tomlin update it
+// counted was removed, and the key stays for wire compatibility.
 type LPCountersWire struct {
 	Solves           uint64 `json:"solves"`
 	Iterations       uint64 `json:"iterations"`
@@ -247,28 +251,27 @@ func lpCountersWire(c lp.Counters) LPCountersWire {
 		SymbolicReuses:   c.SymbolicReuses,
 		NumericRefactors: c.NumericRefactors,
 		DualPivots:       c.DualPivots,
-		FTUpdates:        c.FTUpdates,
 	}
 }
 
 // optCountersWire converts an opt.Counters snapshot to its wire form.
 func optCountersWire(c opt.Counters) OptCountersWire {
 	return OptCountersWire{
-		Searches:          c.Searches,
-		Expanded:          c.Expanded,
-		Generated:         c.Generated,
-		PrunedByBound:     c.PrunedByBound,
-		DuplicateHits:     c.DuplicateHits,
-		PrunedByDominance: c.PrunedByDominance,
-		LandmarkHits:      c.LandmarkHits,
-		PeakTable:         c.PeakTable,
-		Workers:           c.Workers,
-		WorkerExpanded:    c.WorkerExpanded,
+		Searches:      c.Searches,
+		Expanded:      c.Expanded,
+		Generated:     c.Generated,
+		PrunedByBound: c.PrunedByBound,
+		DuplicateHits: c.DuplicateHits,
+		PeakTable:     c.PeakTable,
+		Workers:       1,
 	}
 }
 
 // OptCountersWire mirrors opt.Counters with the stable JSON names of the
-// trajectory format.
+// trajectory format.  PrunedByDominance, LandmarkHits and WorkerExpanded
+// always read 0 and Workers always reads 1: the dominance merging, landmark
+// table and parallel driver they reported were removed, and the keys stay for
+// wire compatibility.
 type OptCountersWire struct {
 	Searches          uint64 `json:"searches"`
 	Expanded          uint64 `json:"expanded"`

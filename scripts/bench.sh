@@ -8,8 +8,10 @@
 # (BenchmarkDualResolve*, BenchmarkModelExtendResolve/BenchmarkModelColdResolve,
 # BenchmarkReplayIncrementalStep/BenchmarkReplayColdStep — the last pair's
 # ratio is the trace-replay speedup pcbench -replay reports) so the perf
-# trajectory is tracked alongside the counters.  Timings are informational:
-# cmd/benchdiff never compares them.
+# trajectory is tracked alongside the counters.  Every benchmark runs five
+# times (-count 5) and the timings block records the median of the five
+# ns/op figures, so one noisy sample cannot set a trajectory point.  Timings
+# are informational: cmd/benchdiff never compares them.
 #
 # Usage: scripts/bench.sh [output-file]
 #
@@ -29,6 +31,6 @@ fi
 bench=$(mktemp /tmp/bench-timings.XXXXXX)
 trap 'rm -f "$bench"' EXIT
 echo "running solver/search benchmarks for the timings block ..."
-go test -run '^$' -bench 'BenchmarkRevisedSolve|BenchmarkBatchSolve|BenchmarkModelBatch|BenchmarkOptSearch|BenchmarkDualResolve|BenchmarkModelExtendResolve|BenchmarkModelColdResolve|BenchmarkReplay' ./... > "$bench"
+go test -run '^$' -count 5 -bench 'BenchmarkRevisedSolve|BenchmarkBatchSolve|BenchmarkModelBatch|BenchmarkOptSearch|BenchmarkDualResolve|BenchmarkModelExtendResolve|BenchmarkModelColdResolve|BenchmarkReplay' ./... > "$bench"
 go run ./cmd/pcbench -json -stable -workers 1 -timings "$bench" > "$out"
 echo "wrote $out"
